@@ -1,0 +1,43 @@
+//! Order statistics over the samples of one run.
+
+/// The `q`-quantile (`0 ≤ q ≤ 1`) of `xs` by linear interpolation
+/// between closest ranks; `NaN` for an empty slice.
+pub fn quantile(xs: &[f64], q: f64) -> f64 {
+    if xs.is_empty() {
+        return f64::NAN;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+/// The median of `xs`.
+pub fn median(xs: &[f64]) -> f64 {
+    quantile(xs, 0.5)
+}
+
+/// Samples strictly above the `q`-quantile: a tail percentile is
+/// reported only when at least ten samples lie beyond it.
+pub fn beyond(xs: &[f64], q: f64) -> usize {
+    let t = quantile(xs, q);
+    xs.iter().filter(|&&x| x > t).count()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_interpolate() {
+        let xs = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(median(&xs), 2.5);
+        assert_eq!(quantile(&xs, 0.0), 1.0);
+        assert_eq!(quantile(&xs, 1.0), 4.0);
+        assert!(median(&[]).is_nan());
+        let many: Vec<f64> = (0..1100).map(f64::from).collect();
+        assert!(beyond(&many, 0.99) >= 10);
+    }
+}
